@@ -53,8 +53,9 @@ dynamics-smoke:
 
 # Event-timer gate: ticked and event AIM timer modes must be
 # bit-identical on a faulted FFW cell whose timeout machinery actually
-# fires, an idle-heavy run must dispatch >= 3x fewer kernel events in
-# event mode, and campaign cell keys must stay conserved.
+# fires, event mode must make no more Python calls on that cell, an
+# idle-heavy run must dispatch >= 3x fewer kernel events in event mode,
+# and campaign cell keys must stay conserved.
 timer-smoke:
 	$(PYTHON) -m benchmarks.harness --timer-smoke
 

@@ -50,12 +50,13 @@ Timer smoke gate
 timer mode: a faulted FFW cell (with a deadline margin wide enough that
 the timeout machinery demonstrably arms and fires) must produce
 bit-identical rows, metrics series, NoC counters and application
-statistics under ``timer_mode="ticked"`` and ``"event"``; an idle-heavy
-FFW run must dispatch at least 3× fewer kernel events in event mode
-(``Simulator.dispatched_events`` — a deterministic counter, so the bound
-is noise-free); and the default config must keep ``timer_mode`` out of
-its canonical payload so every pre-existing campaign cell key is
-conserved.
+statistics under ``timer_mode="ticked"`` and ``"event"``, and must make
+no more Python calls in event mode (cProfile primitive calls, which
+repeat exactly, so the bound is noise-free); an idle-heavy FFW run must
+dispatch at least 3× fewer kernel events in event mode
+(``Simulator.dispatched_events``, likewise deterministic); and the
+default config must keep ``timer_mode`` out of its canonical payload so
+every pre-existing campaign cell key is conserved.
 
 Report smoke gate
 -----------------
@@ -344,27 +345,37 @@ def run_timer_smoke(seed=12):
     """Event-timer gate evidence (PR 10).
 
     Three legs: a faulted FFW cell whose timeout machinery demonstrably
-    fires must be bit-identical between ``timer_mode`` settings; an
-    idle-heavy FFW run must dispatch >= 3x fewer kernel events in event
-    mode; and ``timer_mode`` must stay out of the default canonical
-    config payload (campaign cell keys conserved).
+    fires must be bit-identical between ``timer_mode`` settings, and cost
+    no more Python calls in event mode; an idle-heavy FFW run must
+    dispatch >= 3x fewer kernel events in event mode; and ``timer_mode``
+    must stay out of the default canonical config payload (campaign cell
+    keys conserved).
     """
+    import cProfile
+    import pstats
+
     from repro.experiments.runner import run_single
     from repro.platform.centurion import CenturionPlatform
     from repro.platform.config import PlatformConfig
 
     def faulted(mode):
+        """The cell's result and its cProfile primitive-call total."""
         config = PlatformConfig.small(
             horizon_us=200_000,
             fault_time_us=100_000,
             timer_mode=mode,
             ffw_deadline_margin_us=16_000,
         )
-        return run_single(
-            "ffw", seed=seed, faults=3, config=config, keep_series=True
+        profile = cProfile.Profile()
+        result = profile.runcall(
+            run_single, "ffw", seed=seed, faults=3, config=config,
+            keep_series=True,
         )
+        return result, pstats.Stats(profile).prim_calls
 
-    ticked, event = faulted("ticked"), faulted("event")
+    (ticked, calls_ticked), (event, calls_event) = (
+        faulted("ticked"), faulted("event")
+    )
     identical = (
         ticked.as_row() == event.as_row()
         and ticked.series.as_dict() == event.series.as_dict()
@@ -390,6 +401,8 @@ def run_timer_smoke(seed=12):
     return {
         "switches": ticked.as_row()["total_switches"],
         "identical": identical,
+        "calls_ticked": calls_ticked,
+        "calls_event": calls_event,
         "idle_ticked_dispatched": idle_ticked,
         "idle_event_dispatched": idle_event,
         "keys_conserved": "timer_mode" not in PlatformConfig().canonical(),
@@ -407,6 +420,13 @@ def check_timer_smoke(smoke):
         return (
             "timer-smoke: ticked and event timer modes diverged on the "
             "faulted FFW cell"
+        )
+    if smoke["calls_event"] > smoke["calls_ticked"]:
+        return (
+            "timer-smoke: event mode made {} Python calls vs {} ticked on "
+            "the faulted FFW cell (expected no more)".format(
+                smoke["calls_event"], smoke["calls_ticked"],
+            )
         )
     if smoke["idle_ticked_dispatched"] < 3 * smoke["idle_event_dispatched"]:
         return (
@@ -986,6 +1006,9 @@ def main(argv=None):
         print("  {:<36} {}".format(
             "ticked == event (all observables)", timer["identical"]))
         print("  {:<36} {} ticked / {} event".format(
+            "faulted-cell Python calls",
+            timer["calls_ticked"], timer["calls_event"]))
+        print("  {:<36} {} ticked / {} event".format(
             "idle-heavy dispatched events",
             timer["idle_ticked_dispatched"],
             timer["idle_event_dispatched"]))
@@ -995,7 +1018,8 @@ def main(argv=None):
         if failure is not None:
             print("\nTIMER SMOKE FAILED: {}".format(failure))
             return 2
-        print("  event mode bit-identical and >= 3x fewer events — ok")
+        print("  event mode bit-identical, no more calls and >= 3x "
+              "fewer events — ok")
         if not any((args.micro, args.campaign_smoke, args.dynamics_smoke,
                     args.workload_smoke, args.examples_smoke,
                     args.report_smoke, args.serve_smoke)):

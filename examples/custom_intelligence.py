@@ -58,6 +58,14 @@ class ThermalForagingModel(ForagingForWorkModel):
             aim.set_frequency(aim.pe.frequency.nominal_mhz)
             self.throttled = False
 
+    def next_wakeup(self, now):
+        """The thermal check runs every tick: ask for the full tick train.
+
+        FFW alone would report its armed deadline (or ``IDLE``), and the
+        event-mode timer bank would then skip the thermal checks.
+        """
+        return None
+
 
 def main():
     # Make nodes heat up visibly: crank the thermal model's sensitivity.

@@ -24,7 +24,12 @@ The tick train runs in one of two bit-identical modes (the
     Demand-driven: the bank asks each model *when* it next needs a tick
     (:meth:`~repro.core.models.base.IntelligenceModel.next_wakeup`) and
     schedules a wakeup only at the first grid tick at or after that
-    deadline — idle nodes schedule nothing.  Wakeups ride the
+    deadline — idle nodes schedule nothing.  The bank reads the demand
+    at model upload, restart, RCAP write and after each wakeup it
+    relays; between those, a model that arms a timer (or moves its
+    deadline earlier) inside a monitor hook pushes the new deadline
+    through :meth:`ArtificialIntelligenceModule.wake_at`, so the relay
+    hooks never re-read it.  Wakeups ride the
     no-allocation :meth:`~repro.sim.engine.Simulator.post_at` path and
     stale ones (the model disarmed or re-armed since) strand as no-ops
     behind a due-ness re-check, the same trick
@@ -35,11 +40,24 @@ The tick train runs in one of two bit-identical modes (the
     sampler, firing times, RNG draw order and every observable are
     conserved; if any registered model does real per-tick work
     (``next_wakeup`` → ``None``) the bank degenerates to the periodic
-    train, grid-aligned, and the two modes coincide exactly.
+    train, grid-aligned, and the two modes coincide exactly.  Wakeups
+    are deduplicated per grid time at a priority of their own, so *when*
+    a wakeup is posted cannot reorder anything; a push from the arming
+    hook is all the bank needs.
+
+Relay binding
+-------------
+The AIM subscribes to a router or PE monitor event only when the hosted
+model overrides the matching :class:`~repro.core.models.base.
+IntelligenceModel` hook (see :meth:`ArtificialIntelligenceModule.
+listens`), and :meth:`~ArtificialIntelligenceModule.upload_model`
+rebinds both handler lists.  The baseline ``none`` model therefore has
+no per-hop relay chain at all, NI hears only routed packets, and an
+empty AIM hears nothing.
 """
 
 from repro.core.knobs import standard_knob_bank
-from repro.core.models.base import IDLE
+from repro.core.models.base import IDLE, IntelligenceModel
 from repro.core.monitors import standard_monitor_bank
 from repro.sim.process import PeriodicProcess
 
@@ -120,11 +138,12 @@ class AimTickBank:
     def note_state(self, aim):
         """Re-read one AIM's timer demand after a state change.
 
-        Called by the AIM after every relayed monitor event, model upload,
-        RCAP write and restart.  Arming (or moving a deadline earlier)
-        always happens inside one of those hooks, so the bank never misses
-        a wakeup; disarming needs no action at all — the already-posted
-        wakeup strands as a no-op.
+        Called by the AIM on model upload, RCAP write and restart, and by
+        :meth:`_fire` after a relayed wakeup.  Arming inside a monitor
+        hook is pushed by the model through
+        :meth:`ArtificialIntelligenceModule.wake_at` instead, so the bank
+        never misses a wakeup; disarming needs no action at all — the
+        already-posted wakeup strands as a no-op.
         """
         model = aim.model
         if model is None or not aim._ticking or aim.pe.halted:
@@ -186,9 +205,9 @@ class AimTickBank:
 
         The train starts grid-aligned (next grid tick strictly after now),
         so its firing times are exactly the ones ticked mode would produce,
-        and every AIM's ``_event_bank`` link is cleared so the relay hooks
-        stop paying the demand re-read.  Pending wakeups strand in
-        :meth:`_fire`.
+        and every AIM's ``_event_bank`` link is cleared so
+        :meth:`ArtificialIntelligenceModule.wake_at` becomes a no-op.
+        Pending wakeups strand in :meth:`_fire`.
         """
         if self._degenerate:
             return
@@ -238,10 +257,9 @@ class ArtificialIntelligenceModule:
         self.knobs = standard_knob_bank(pe, router)
         self.model = None
         self._ticking = False
-        #: Set by an event-mode :class:`AimTickBank` at registration; the
-        #: relay hooks re-announce timer demand through it after every
-        #: monitor event.  ``None`` in ticked/degenerate mode, keeping the
-        #: classic path one attribute test away from unchanged.
+        #: Set by an event-mode :class:`AimTickBank` at registration;
+        #: :meth:`wake_at` pushes armed deadlines through it.  ``None`` in
+        #: ticked/degenerate mode, where ``wake_at`` is a no-op.
         self._event_bank = None
         if tick_bank is None and timer_mode == "event":
             tick_bank = AimTickBank(sim, tick_period_us, timer_mode="event")
@@ -276,8 +294,14 @@ class ArtificialIntelligenceModule:
     # -- program upload ------------------------------------------------------
 
     def upload_model(self, model):
-        """Install (or replace) the hosted intelligence program."""
+        """Install (or replace) the hosted intelligence program.
+
+        Rebinds the router's and the PE's handler lists to the hooks the
+        new model overrides (:meth:`listens`); ``None`` unbinds them all.
+        """
         self.model = model
+        self.router.rebind_observers()
+        self.pe.rebind_observers()
         if model is not None:
             model.bind(self)
             self.knobs["task_select"].reason = model.name
@@ -321,59 +345,71 @@ class ArtificialIntelligenceModule:
         if bank is not None:
             bank.note_state(self)
 
+    # -- relay binding ------------------------------------------------------------
+
+    def listens(self, hook):
+        """True when the hosted model overrides monitor hook ``hook``.
+
+        The router and the PE ask this when they (re)build their handler
+        lists, so a hook the model leaves at the
+        :class:`~repro.core.models.base.IntelligenceModel` no-op costs
+        nothing per event.
+        """
+        model = self.model
+        return model is not None and (
+            getattr(type(model), hook) is not getattr(IntelligenceModel, hook)
+        )
+
     # -- router monitor relay ---------------------------------------------------
+    #
+    # Relays are bound only while a model that overrides the hook is
+    # uploaded (see ``listens``), so they need not re-check for a model.
 
     def on_packet_routed(self, router, packet, to_internal):
         """Router monitor relay (filters locally-injected packets)."""
-        if self.model is None or self.pe.halted:
+        if self.pe.halted:
             return
         # Locally-injected packets (hop count still zero) are the node's own
         # emissions, not observed traffic; monitors sit on the mesh input
         # ports so they do not see them.
         injected = packet.hops == 0 and not to_internal
-        self.model.on_packet_routed(
-            self, packet, to_internal=to_internal, injected=injected
-        )
-        bank = self._event_bank
-        if bank is not None:
-            bank.note_state(self)
+        self.model.on_packet_routed(self, packet, to_internal, injected)
 
     def on_packet_dropped(self, router, packet):
         """Router drop-event relay."""
-        if self.model is None or self.pe.halted:
-            return
-        self.model.on_packet_dropped(self, packet)
-        bank = self._event_bank
-        if bank is not None:
-            bank.note_state(self)
+        if not self.pe.halted:
+            self.model.on_packet_dropped(self, packet)
 
     # -- processing element monitor relay -----------------------------------------
 
     def on_internal_sink(self, pe, packet):
         """PE internal-sink monitor relay."""
-        if self.model is not None and not pe.halted:
+        if not pe.halted:
             self.model.on_internal_sink(self, packet)
-            bank = self._event_bank
-            if bank is not None:
-                bank.note_state(self)
 
     def on_execution_complete(self, pe, task_id):
         """PE execution-complete monitor relay."""
-        if self.model is not None and not pe.halted:
+        if not pe.halted:
             self.model.on_execution_complete(self, task_id)
-            bank = self._event_bank
-            if bank is not None:
-                bank.note_state(self)
 
     def on_task_changed(self, pe, old, new):
         """PE task-change monitor relay."""
-        if self.model is not None and not pe.halted:
+        if not pe.halted:
             self.model.on_task_changed(self, old, new)
-            bank = self._event_bank
-            if bank is not None:
-                bank.note_state(self)
 
     # -- timer tick -----------------------------------------------------------------
+
+    def wake_at(self, deadline):
+        """Request an ``on_tick`` at the first timer tick >= ``deadline``.
+
+        The push half of the ``next_wakeup`` contract: a model that arms
+        a timer, or moves its deadline earlier, inside a monitor hook
+        calls this.  Forwards to the event-mode bank; a no-op in ticked
+        (or degenerate) mode, where every tick is relayed anyway.
+        """
+        bank = self._event_bank
+        if bank is not None:
+            bank._request(deadline)
 
     def _on_tick(self, _process):
         if self.model is None or self.pe.halted:

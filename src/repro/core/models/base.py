@@ -51,7 +51,9 @@ class IntelligenceModel:
     Subclasses override the monitor-event hooks they care about; every hook
     receives the hosting :class:`~repro.core.aim.ArtificialIntelligenceModule`
     so the model reaches monitors and knobs without holding node state
-    itself (one model instance per node, created by the registry).
+    itself (one model instance per node, created by the registry).  The
+    AIM relays only the hooks a subclass overrides, so a hook left at its
+    no-op default costs nothing per event.
 
     Class attributes
     ----------------
@@ -124,9 +126,12 @@ class IntelligenceModel:
           ``now`` strictly before that time; the bank may skip ticks until
           the first grid tick at or after it.
 
-        Models that return :data:`IDLE` or a deadline promise that every
-        state change moving the wakeup *earlier* happens inside a monitor
-        hook (the bank re-reads the demand after each relayed event).
+        The bank reads this at model upload, restart, RCAP write and
+        after each wakeup it relays — never after a monitor event.  A
+        model that returns :data:`IDLE` or a deadline therefore promises
+        that every state change moving the wakeup *earlier* happens inside
+        a monitor hook that calls ``aim.wake_at(deadline)`` (see
+        :meth:`repro.core.aim.ArtificialIntelligenceModule.wake_at`).
         """
         return None
 

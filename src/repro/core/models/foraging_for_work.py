@@ -92,6 +92,7 @@ class ForagingForWorkModel(IntelligenceModel):
         self.candidate_task = packet.dest_task
         if self.armed_at is None:
             self.armed_at = now
+            aim.wake_at(now + self.timeout_us)
 
     def on_internal_sink(self, aim, packet):
         """Being fed: disarm the task-switch timeout."""
@@ -112,7 +113,9 @@ class ForagingForWorkModel(IntelligenceModel):
         self.late_packets_seen += 1
         self.candidate_task = packet.dest_task
         if self.armed_at is None:
-            self.armed_at = aim.sim.now
+            now = aim.sim.now
+            self.armed_at = now
+            aim.wake_at(now + self.timeout_us)
 
     # -- timer ---------------------------------------------------------------------
 
@@ -137,8 +140,8 @@ class ForagingForWorkModel(IntelligenceModel):
         ``on_tick`` fires only when ``now - armed_at >= timeout_us``, so
         until ``armed_at + timeout_us`` it is a no-op and the event-mode
         bank can skip every tick in between.  Arming happens exclusively
-        in monitor hooks (late transit packet, drop), which the bank
-        observes.
+        in monitor hooks (late transit packet, drop), and both arming
+        sites push the new deadline through ``aim.wake_at``.
         """
         if self.armed_at is None:
             return IDLE

@@ -30,7 +30,11 @@ class DeadlockRecovery:
         self.last_drop_time = None
 
     def should_drop(self, wait):
-        """True when a channel wait of ``wait`` µs exceeds the limit."""
+        """True when a channel wait of ``wait`` µs exceeds the limit.
+
+        The hop engine inlines this test (``Network._route_step``); keep
+        the two in step.
+        """
         return self.wait_limit is not None and wait > self.wait_limit
 
     def record_drop(self, now):

@@ -41,6 +41,8 @@ class Link:
         "total_wait",
         "enabled",
         "corrupting",
+        "_busy_folded",
+        "_flits_folded",
     )
 
     def __init__(self, src, dst, flit_time=1, wire_latency=1):
@@ -59,6 +61,11 @@ class Link:
         self.enabled = True
         #: While set, packets claiming the channel are flagged corrupted.
         self.corrupting = False
+        #: Busy µs of the first ``_flits_folded`` flits, which crossed at
+        #: earlier flit times; folded in whenever the timing changes so
+        #: ``utilisation`` never rescales past traffic.
+        self._busy_folded = 0
+        self._flits_folded = 0
 
     def queue_delay(self, now):
         """How long a packet arriving now would wait for the channel."""
@@ -111,11 +118,20 @@ class Link:
         """
         if not factor > 1:
             raise ValueError("degrade factor must be > 1")
+        self._fold_busy()
         self.flit_time = max(1, int(round(self.nominal_flit_time * factor)))
 
     def restore_timing(self):
         """Undo a degradation: flit time returns to the nominal value."""
+        self._fold_busy()
         self.flit_time = self.nominal_flit_time
+
+    def _fold_busy(self):
+        """Bank the busy time of the flits carried at the current timing."""
+        self._busy_folded += (
+            (self.flits_carried - self._flits_folded) * self.flit_time
+        )
+        self._flits_folded = self.flits_carried
 
     @property
     def degraded(self):
@@ -126,9 +142,10 @@ class Link:
         """Fraction of time spent transferring, measured up to ``now``."""
         if now <= 0:
             return 0.0
-        busy = min(self.busy_until, now) if self.flits_carried else 0
-        # Approximation: flits_carried * flit_time is the exact busy time.
-        return min(1.0, self.flits_carried * self.flit_time / now)
+        busy = self._busy_folded + (
+            (self.flits_carried - self._flits_folded) * self.flit_time
+        )
+        return min(1.0, busy / now)
 
     def __repr__(self):
         return "Link({}->{}, busy_until={}, carried={})".format(

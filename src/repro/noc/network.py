@@ -51,6 +51,8 @@ Per-hop lookups are precomputed: ``_hop_table[node][direction]`` holds the
 hashing and the reverse-direction lookup on every hop.
 """
 
+from functools import partial
+
 from repro.noc.deadlock import DeadlockRecovery
 from repro.noc.link import Link
 from repro.noc.packet import PacketStatus
@@ -462,7 +464,7 @@ class Network:
         ``(time, callback)`` pair instead of scheduled — used by multicast
         to bulk-insert sibling first hops.
         """
-        if not packet.in_flight:
+        if packet.status != PacketStatus.IN_FLIGHT:
             return
         if node in self.failed_nodes:
             self._drop(packet, PacketStatus.DROPPED_FAULT)
@@ -471,9 +473,7 @@ class Network:
         if step is None:
             return
         neighbor, in_port, arrival_time = step
-        callback = (
-            lambda p=packet, n=neighbor, d=in_port: self._hop_walk(p, n, d)
-        )
+        callback = partial(self._hop_walk, packet, neighbor, in_port)
         if defer is None:
             self.sim.post_at(arrival_time, callback)
         else:
@@ -494,8 +494,9 @@ class Network:
         fast_path = self.fast_path
         routers = self.routers
         failed = self.failed_nodes
+        in_flight = PacketStatus.IN_FLIGHT
         while True:
-            if not packet.in_flight:
+            if packet.status != in_flight:
                 return
             if node in failed:
                 self._drop(packet, PacketStatus.DROPPED_FAULT)
@@ -512,9 +513,7 @@ class Network:
                 continue
             sim.post_at(
                 arrival_time,
-                lambda p=packet, n=neighbor, d=in_port: self._hop_walk(
-                    p, n, d
-                ),
+                partial(self._hop_walk, packet, neighbor, in_port),
             )
             return
 
@@ -539,20 +538,29 @@ class Network:
             if packet.dest_node == node:
                 self._deliver(packet, node, router)
                 return None
-        try:
-            direction = self.policy.next_direction(node, packet.dest_node)
-        except UnroutableError:
-            if not self._reresolve(packet, node, exclude=(packet.dest_node,)):
-                return None
-            if packet.dest_node == node:
-                self._deliver(packet, node, router)
-                return None
+        # The policy's direction cache answers almost every hop; only a
+        # miss pays the policy call and its fault handling.
+        policy = self.policy
+        direction = policy.direction_cache.get((node, packet.dest_node))
+        if direction is None:
             try:
-                direction = self.policy.next_direction(node, packet.dest_node)
+                direction = policy.next_direction(node, packet.dest_node)
             except UnroutableError:
-                self._drop(packet, PacketStatus.DROPPED_NO_PROVIDER,
-                           at_node=node)
-                return None
+                if not self._reresolve(
+                    packet, node, exclude=(packet.dest_node,)
+                ):
+                    return None
+                if packet.dest_node == node:
+                    self._deliver(packet, node, router)
+                    return None
+                try:
+                    direction = policy.next_direction(
+                        node, packet.dest_node
+                    )
+                except UnroutableError:
+                    self._drop(packet, PacketStatus.DROPPED_NO_PROVIDER,
+                               at_node=node)
+                    return None
         if router.config.routing_mode == "adaptive":
             direction = self._adaptive_port(router, node, packet, direction)
         hop = self._hop_table[node].get(direction)
@@ -569,15 +577,17 @@ class Network:
             return None
         now = self.sim.now
         wait = link.busy_until - now
-        # The pressure dict is empty on dynamics-free runs, so the
-        # short-circuit keeps this hot path on its historic branch; the
-        # ``.get(node, wait)`` default makes an un-pressured node's
-        # comparison trivially false.
-        if self.deadlock.should_drop(wait) or (
+        # Inlined DeadlockRecovery.should_drop(wait).  The pressure dict
+        # is empty on dynamics-free runs, so the short-circuit keeps this
+        # hot path on its historic branch; the ``.get(node, wait)``
+        # default makes an un-pressured node's comparison trivially false.
+        deadlock = self.deadlock
+        wait_limit = deadlock.wait_limit
+        if (wait_limit is not None and wait > wait_limit) or (
             self.deadlock_pressure
             and wait > self.deadlock_pressure.get(node, wait)
         ):
-            self.deadlock.record_drop(now)
+            deadlock.record_drop(now)
             self._drop(packet, PacketStatus.DROPPED_DEADLOCK, at_node=node)
             return None
         router.notify_routed(packet, to_internal=False)

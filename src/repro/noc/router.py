@@ -112,35 +112,35 @@ class Router:
         """Subscribe an observer (typically the node's AIM).
 
         Observers may implement ``on_packet_routed(router, packet,
-        to_internal)``; missing methods are tolerated so tests can pass
-        minimal stubs.  Handlers are cached at subscription time — routing
+        to_internal)`` and ``on_packet_dropped(router, packet)``; missing
+        methods are tolerated so tests can pass minimal stubs.  An
+        observer may also implement ``listens(hook)`` to be bound only to
+        the hooks it answers True for — the AIM listens only where its
+        model does, and calls :meth:`rebind_observers` when the answer
+        changes.  Handlers are cached in subscription order — routing
         events are the hottest path in the simulation.
         """
         self._observers.append(observer)
-        self._rebuild_handler_cache()
+        self.rebind_observers()
 
     def remove_observer(self, observer):
         """Unsubscribe an observer."""
         self._observers.remove(observer)
-        self._rebuild_handler_cache()
+        self.rebind_observers()
 
-    def _rebuild_handler_cache(self):
-        self._routed_handlers = [
-            handler
-            for handler in (
-                getattr(obs, "on_packet_routed", None)
-                for obs in self._observers
-            )
-            if handler is not None
-        ]
-        self._dropped_handlers = [
-            handler
-            for handler in (
-                getattr(obs, "on_packet_dropped", None)
-                for obs in self._observers
-            )
-            if handler is not None
-        ]
+    def rebind_observers(self):
+        """Rebuild the cached handler lists from the observers."""
+        self._routed_handlers = self._handlers_for("on_packet_routed")
+        self._dropped_handlers = self._handlers_for("on_packet_dropped")
+
+    def _handlers_for(self, hook):
+        handlers = []
+        for obs in self._observers:
+            handler = getattr(obs, hook, None)
+            listens = getattr(obs, "listens", None)
+            if handler is not None and (listens is None or listens(hook)):
+                handlers.append(handler)
+        return handlers
 
     # -- events driven by the network -----------------------------------------
 

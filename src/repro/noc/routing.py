@@ -208,14 +208,17 @@ class RoutingPolicy:
         #: edge failure takes out both directions of the channel).
         self._failed_links = frozenset()
         self._table_cache = {}
-        # Next-hop direction cache: given a fixed failure set the chosen
-        # direction is a pure function of (current, dest), and
-        # next_direction is called once per hop on the hottest path.  On
-        # the healthy mesh this memoises the XY arithmetic; around faults
-        # it also absorbs the per-hop XY-path-clear walk and BFS table
-        # lookups (the dominant cost of post-fault Table II sweeps).
-        # Dropped whenever the failure set changes.
-        self._direction_cache = {}
+        #: Next-hop direction cache, ``(current, dest) -> direction``, filled
+        #: by :meth:`next_direction`.  Given a fixed failure set the chosen
+        #: direction is a pure function of (current, dest), and a
+        #: direction is needed once per hop on the hottest path.  On the
+        #: healthy mesh this memoises the XY arithmetic; around faults it
+        #: also absorbs the per-hop XY-path-clear walk and BFS table
+        #: lookups (the dominant cost of post-fault Table II sweeps).
+        #: Cleared whenever the failure set changes.  The hop engine reads
+        #: it directly and calls ``next_direction`` only on a miss; treat
+        #: it as read-only.
+        self.direction_cache = {}
 
     # -- fault management ------------------------------------------------------
 
@@ -225,7 +228,7 @@ class RoutingPolicy:
         if failed != self._failed:
             self._failed = failed
             self._table_cache.clear()
-            self._direction_cache.clear()
+            self.direction_cache.clear()
 
     def set_failed_links(self, failed_edges):
         """Replace the set of failed mesh edges; invalidates cached tables.
@@ -244,7 +247,7 @@ class RoutingPolicy:
         if edges != self._failed_links:
             self._failed_links = edges
             self._table_cache.clear()
-            self._direction_cache.clear()
+            self.direction_cache.clear()
 
     def _edge_ok(self, a, b):
         """True when the mesh edge ``a — b`` is usable."""
@@ -270,7 +273,7 @@ class RoutingPolicy:
         if current == dest:
             return None
         key = (current, dest)
-        direction = self._direction_cache.get(key)
+        direction = self.direction_cache.get(key)
         if direction is not None:
             return direction
         if dest in self._failed:
@@ -279,7 +282,7 @@ class RoutingPolicy:
             direction = self.xy.next_direction(current, dest)
         else:
             direction = self._detour_direction(current, dest)
-        self._direction_cache[key] = direction
+        self.direction_cache[key] = direction
         return direction
 
     def _detour_direction(self, current, dest):

@@ -89,31 +89,37 @@ class ProcessingElement:
 
         Observers may implement ``on_internal_sink(pe, packet)``,
         ``on_execution_complete(pe, task_id)`` and
-        ``on_task_changed(pe, old, new)``.  Handlers are cached at
-        subscription time (sink/complete events are hot).
+        ``on_task_changed(pe, old, new)``, and optionally
+        ``listens(hook)`` to be bound only to the hooks it answers True
+        for (the AIM listens only where its model does and calls
+        :meth:`rebind_observers` on model upload).  Handlers are cached
+        in subscription order — the AIM, added at platform build, ahead
+        of the dynamics governor (sink/complete events are hot).
         """
         self._observers.append(observer)
-        self._rebuild_handler_cache()
+        self.rebind_observers()
 
     def remove_observer(self, observer):
         """Unsubscribe an observer."""
         self._observers.remove(observer)
-        self._rebuild_handler_cache()
+        self.rebind_observers()
 
-    def _rebuild_handler_cache(self):
+    def rebind_observers(self):
+        """Rebuild the cached handler lists from the observers."""
         self._handlers = {}
         for method in (
             "on_internal_sink",
             "on_execution_complete",
             "on_task_changed",
         ):
-            self._handlers[method] = [
-                handler
-                for handler in (
-                    getattr(obs, method, None) for obs in self._observers
-                )
-                if handler is not None
-            ]
+            handlers = self._handlers[method] = []
+            for obs in self._observers:
+                handler = getattr(obs, method, None)
+                listens = getattr(obs, "listens", None)
+                if handler is not None and (
+                    listens is None or listens(method)
+                ):
+                    handlers.append(handler)
 
     def _notify(self, method, *args):
         for handler in self._handlers.get(method, ()):

@@ -41,6 +41,8 @@ class StubAim:
             {"neighbor_tasks": neighbor_tasks or {}}
         )
         self.switches = []
+        #: Deadlines pushed through ``wake_at`` (the event-mode contract).
+        self.wakeups = []
 
     def current_task(self):
         return self._task
@@ -49,6 +51,9 @@ class StubAim:
         self.switches.append((self.sim.now, task_id))
         self._task = task_id
         return task_id
+
+    def wake_at(self, deadline):
+        self.wakeups.append(deadline)
 
 
 @pytest.fixture

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.core.models.base import IntelligenceModel
+from repro.core.models.registry import create_model
 from repro.noc.packet import Packet
+from repro.platform.centurion import CenturionPlatform
+from repro.platform.config import PlatformConfig
 
 
 class ProbeModel(IntelligenceModel):
@@ -144,3 +147,84 @@ def test_frequency_and_clock_helpers(probed):
     assert aim.set_clock_enabled(False) is False
     assert aim.set_clock_enabled(True) is True
     assert aim.reset_node() is True
+
+
+# -- relay binding ------------------------------------------------------------
+
+PE_HOOKS = ("on_internal_sink", "on_execution_complete", "on_task_changed")
+
+
+class DropOnlyModel(IntelligenceModel):
+    """Overrides only ``on_packet_dropped``."""
+
+    name = "drop-only"
+
+    def __init__(self, task_ids=(1, 2, 3)):
+        super().__init__(task_ids)
+        self.drops = []
+
+    def on_packet_dropped(self, aim, packet):
+        self.drops.append(packet.dest_task)
+
+
+def _pe_handlers(pe):
+    return {hook: list(pe._handlers[hook]) for hook in PE_HOOKS}
+
+
+def test_none_model_binds_no_relay(small_platform):
+    router = small_platform.network.router(5)
+    assert router._routed_handlers == []
+    assert router._dropped_handlers == []
+    assert _pe_handlers(small_platform.pes[5]) == {
+        hook: [] for hook in PE_HOOKS
+    }
+
+
+def test_drop_only_model_hears_drops_not_routes(small_platform):
+    aim = small_platform.aims[5]
+    router = small_platform.network.router(5)
+    model = DropOnlyModel()
+    aim.upload_model(model)
+    assert router._routed_handlers == []
+    assert router._dropped_handlers == [aim.on_packet_dropped]
+    transit = Packet(0, dest_task=2)
+    transit.hops = 1
+    router.notify_routed(transit, to_internal=False)
+    router.notify_dropped(Packet(0, dest_task=3))
+    assert model.drops == [3]
+
+
+def test_uploads_rebind_none_ffw_none(small_platform):
+    aim = small_platform.aims[5]
+    router = small_platform.network.router(5)
+    pe = small_platform.pes[5]
+    aim.upload_model(create_model("ffw", small_platform.graph.task_ids()))
+    assert router._routed_handlers == [aim.on_packet_routed]
+    assert router._dropped_handlers == [aim.on_packet_dropped]
+    assert _pe_handlers(pe) == {
+        "on_internal_sink": [aim.on_internal_sink],
+        "on_execution_complete": [],
+        "on_task_changed": [],
+    }
+    aim.upload_model(None)
+    assert router._routed_handlers == []
+    assert router._dropped_handlers == []
+    assert _pe_handlers(pe) == {hook: [] for hook in PE_HOOKS}
+
+
+def test_pe_handler_order_aim_before_governor():
+    platform = CenturionPlatform(
+        PlatformConfig.small(dvfs_governor="hysteresis"),
+        model_name="none", seed=99,
+    )
+    aim = platform.aims[5]
+    pe = platform.pes[5]
+    governor = platform.dynamics.on_execution_complete
+    assert pe._handlers["on_execution_complete"] == [governor]
+    # A later upload rebinds the AIM in its subscription slot: first.
+    aim.upload_model(ProbeModel())
+    assert pe._handlers["on_execution_complete"] == [
+        aim.on_execution_complete, governor,
+    ]
+    aim.upload_model(None)
+    assert pe._handlers["on_execution_complete"] == [governor]

@@ -141,3 +141,15 @@ def test_model_metadata():
     model = ForagingForWorkModel(task_ids=(1,))
     assert model.name == "foraging_for_work"
     assert model.model_number == 5
+
+
+def test_arming_pushes_the_deadline_once(stub_aim):
+    model = make_model(stub_aim)
+    model.on_packet_routed(stub_aim, late_packet(2), to_internal=False,
+                           injected=False)
+    model.on_packet_routed(stub_aim, late_packet(3), to_internal=False,
+                           injected=False)
+    assert stub_aim.wakeups == [model.timeout_us]  # armed at t=0
+    model.on_internal_sink(stub_aim, Packet(0, dest_task=1))
+    model.on_packet_dropped(stub_aim, Packet(0, dest_task=2))
+    assert stub_aim.wakeups == [model.timeout_us] * 2

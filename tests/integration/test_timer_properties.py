@@ -6,10 +6,20 @@ probe the space between them: any composition of transient and permanent
 node faults, FFW tunings that arm never/sometimes/always, and any seed
 must leave per-node model state, switch counts, metrics series and NoC
 statistics identical under both ``timer_mode`` settings.
+
+The event-mode runs also check the push half of the ``next_wakeup``
+contract: relayed monitor events no longer make the bank re-read a
+model's demand, so after every relayed event any deadline the model
+reports must already have its grid wakeup pending (posted by
+``aim.wake_at``).  A model that arms a timer without pushing it fails
+here even when the miss happens not to change the run's output.
 """
+
+import functools
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.models.base import IDLE
 from repro.platform.centurion import CenturionPlatform
 from repro.platform.config import PlatformConfig
 from repro.platform.scenario import FaultScenario
@@ -26,6 +36,48 @@ _EVENT = st.tuples(
     st.integers(min_value=1, max_value=3),
     st.one_of(st.none(), st.integers(min_value=5, max_value=40)),
 )
+
+
+RELAY_HOOKS = (
+    "on_packet_routed",
+    "on_packet_dropped",
+    "on_internal_sink",
+    "on_execution_complete",
+    "on_task_changed",
+)
+
+
+def _assert_deadline_pushed(aim):
+    """The model's current deadline already has a pending grid wakeup."""
+    bank = aim._event_bank
+    if bank is None or aim.pe.halted:
+        return
+    deadline = aim.model.next_wakeup(aim.sim.now)
+    if deadline is None or deadline is IDLE:
+        return
+    # The bank's quantisation: first grid tick at or after the deadline.
+    k = max(1, -(-(deadline - bank._anchor) // bank.period_us))
+    tick = bank._anchor + k * bank.period_us
+    assert tick in bank._pending, (
+        "node {}: deadline {} has no wakeup at {} (checked at {})".format(
+            aim.node_id, deadline, tick, aim.sim.now
+        )
+    )
+
+
+def _check_push_contract(platform):
+    """Wrap every bound AIM relay with :func:`_assert_deadline_pushed`."""
+
+    def checked(aim, relay, *args):
+        relay(*args)
+        _assert_deadline_pushed(aim)
+
+    for aim in platform.aims.values():
+        for hook in RELAY_HOOKS:
+            relay = getattr(aim, hook)
+            setattr(aim, hook, functools.partial(checked, aim, relay))
+        aim.router.rebind_observers()
+        aim.pe.rebind_observers()
 
 
 def _signature(mode, seed, events, margin, timeout):
@@ -55,6 +107,8 @@ def _signature(mode, seed, events, margin, timeout):
                 for at_ms, count, duration_ms in events
             ),
         ))
+    if mode == "event":
+        _check_push_contract(platform)
     series = platform.run()
     per_node = {
         node_id: (

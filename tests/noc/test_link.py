@@ -65,3 +65,18 @@ def test_utilisation_bounded():
         link.transfer(Packet(0, 1, size_flits=2), now=0)
     assert 0.0 <= link.utilisation(100) <= 1.0
     assert link.utilisation(0) == 0.0
+
+
+def test_utilisation_keeps_past_traffic_at_its_own_flit_time():
+    link = Link(0, 1, flit_time=1, wire_latency=0)
+    link.transfer(Packet(0, 1, size_flits=4), now=0)
+    assert link.utilisation(100) == pytest.approx(0.04)
+    # No new traffic: a slower timing must not rescale the old busy time.
+    link.degrade(4.0)
+    assert link.utilisation(100) == pytest.approx(0.04)
+    link.transfer(Packet(0, 1, size_flits=4), now=10)
+    assert link.utilisation(100) == pytest.approx(0.20)
+    link.restore_timing()
+    assert link.utilisation(100) == pytest.approx(0.20)
+    link.transfer(Packet(0, 1, size_flits=2), now=50)
+    assert link.utilisation(100) == pytest.approx(0.22)
