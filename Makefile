@@ -84,6 +84,12 @@ report-smoke:
 serve-smoke:
 	$(PYTHON) -m benchmarks.harness --serve-smoke
 
+# Full-size bit-identity gate: the repository benchmark's simulator
+# workloads (paper_cells, fault_storm) on seeds 1 and 2, one round each;
+# every 8x16 cell's output hash must match perfbench/reference.json.
+perfbench-check:
+	$(PYTHON) tools/perfbench_check.py
+
 .PHONY: test lint coverage bench bench-baseline campaign-smoke \
 	dynamics-smoke timer-smoke workload-smoke examples-smoke \
-	report-smoke serve-smoke
+	report-smoke serve-smoke perfbench-check

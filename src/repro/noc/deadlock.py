@@ -32,7 +32,7 @@ class DeadlockRecovery:
     def should_drop(self, wait):
         """True when a channel wait of ``wait`` µs exceeds the limit.
 
-        The hop engine inlines this test (``Network._route_step``); keep
+        The hop engine inlines this test (``Network._walk``); keep
         the two in step.
         """
         return self.wait_limit is not None and wait > self.wait_limit

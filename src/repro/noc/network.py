@@ -19,32 +19,41 @@ Task-addressed delivery works like this:
 4. delivery hands the packet to the ``deliver_handler`` installed by the
    platform (the processing element's internal port).
 
-Hot-path notes (the express hop engine)
----------------------------------------
+Hot-path notes (one walker, the express hop engine)
+---------------------------------------------------
+Every router visit runs one function body, :meth:`Network._walk`:
+injection (``send``, ``send_multicast``, ``redirect``), hop events and
+express continuation all enter it, and a hop event is a
+``functools.partial`` of the walker itself, so a visit costs one Python
+frame.  The router's bookkeeping (per-task counts, forwarded/sunk
+counters, port counts, the recent-task queue and the observer fan-out)
+is inlined into the walker; :meth:`Router.notify_routed` remains the
+documented router API and does exactly the same work.
+
 Simulating one heap event per packet per hop is the classic design but pays
 kernel overhead (handle allocation, heap push/pop, callback dispatch) on
 the hottest path of every table sweep.  The express engine collapses a
 multi-hop flight into a *single* scheduled event without changing a single
 observable bit:
 
-* the first hop of a flight is always a real event (``_arrive`` never walks
-  inline — the injector's enclosing callback, e.g. a PE completion emitting
-  several packets, must finish its own same-time work first);
-* the hop event callback (``_hop_walk``) processes its arrival and then
-  keeps walking subsequent hops *inline*, advancing the simulator clock
-  manually, for as long as :meth:`repro.sim.engine.Simulator.try_advance`
-  grants it the next hop time.  The gate holds exactly when no pending
-  event would dispatch at or before that time, in which case executing the
-  hop inline is indistinguishable from scheduling it — per-hop link claims,
-  router counters, observer notifications and model reactions all happen
-  at their exact hop timestamps, so FFW lateness arming, NI counting and
-  adaptive port choices are bit-identical with the express path on or off;
+* the first hop of a flight is always a real event (an injection never
+  walks on inline — the injector's enclosing callback, e.g. a PE completion
+  emitting several packets, must finish its own same-time work first);
+* a hop event processes its arrival and then keeps walking subsequent
+  hops *inline*, advancing the simulator clock manually, for as long as
+  :meth:`repro.sim.engine.Simulator.try_advance` grants it the next hop
+  time.  The gate holds exactly when no pending event would dispatch at or
+  before that time, in which case executing the hop inline is
+  indistinguishable from scheduling it — per-hop link claims, router
+  counters, observer notifications and model reactions all happen at their
+  exact hop timestamps, so FFW lateness arming, NI counting and adaptive
+  port choices are bit-identical with the express path on or off;
 * the gate is re-evaluated after every hop's side effects, so a model that
   fires mid-flight (scheduling or cancelling events) automatically demotes
   the rest of the flight to ordinary event scheduling;
 * mid-flight task switches and faults need no special epoch machinery: the
   walker runs the same per-hop checks (failure, destination task, provider
-  re-resolution) as the event path, at the same simulated times.
+  re-resolution) inline or from an event, at the same simulated times.
 
 Per-hop lookups are precomputed: ``_hop_table[node][direction]`` holds the
 ``(neighbor, link, entry port)`` triple, replacing topology math, link dict
@@ -62,7 +71,12 @@ from repro.noc.routing import (
     RoutingPolicy,
     UnroutableError,
 )
-from repro.noc.topology import MeshTopology, normalize_edge, opposite
+from repro.noc.topology import (
+    INTERNAL,
+    MeshTopology,
+    normalize_edge,
+    opposite,
+)
 
 
 class Network:
@@ -146,7 +160,7 @@ class Network:
         #: Per-node channel-wait override: node id -> wait limit (µs)
         #: tighter than the config-wide deadlock bound.  Empty on every
         #: dynamics-free run, which keeps the hot routing path on its
-        #: historic branch (see ``_route_step``).
+        #: historic branch (see ``_walk``).
         self.deadlock_pressure = {}
         #: Hops executed inline by the express engine (diagnostic only —
         #: deliberately kept out of ``stats`` so fast/slow runs compare
@@ -361,8 +375,8 @@ class Network:
         """Inject ``packet`` at ``from_node``'s router, resolving a provider.
 
         Returns True if the packet entered the network (or was delivered
-        locally), False if it was dropped immediately for lack of provider
-        or a failed source router.
+        locally), False if it was dropped immediately: no provider, a
+        failed source router or a drop at its first route step.
         """
         self.stats["sent"] += 1
         packet.status = PacketStatus.IN_FLIGHT
@@ -376,8 +390,7 @@ class Network:
                        at_node=from_node)
             return False
         packet.dest_node = dest
-        self._arrive(packet, from_node)
-        return True
+        return self._walk(packet, from_node)
 
     def send_multicast(self, packets, from_node):
         """Send sibling packets to *distinct* nearest providers.
@@ -388,7 +401,7 @@ class Network:
         the same provider, so the k-th packet resolves to the k-th nearest
         provider of its task.  Falls back to reusing providers when fewer
         than ``len(packets)`` exist.  Returns the number of packets that
-        entered the network.
+        entered the network (or were delivered locally).
 
         The siblings' first-hop events are bulk-inserted through
         :meth:`repro.sim.engine.Simulator.schedule_many_at` — one batch
@@ -418,8 +431,8 @@ class Network:
                 continue
             chosen.add(dest)
             packet.dest_node = dest
-            self._arrive(packet, from_node, defer=first_hops)
-            entered += 1
+            if self._walk(packet, from_node, defer=first_hops):
+                entered += 1
         if first_hops:
             self.sim.schedule_many_at(first_hops)
         return entered
@@ -429,8 +442,10 @@ class Network:
 
         Used by full processing-element buffers (backpressure): the packet
         is re-resolved from ``from_node`` excluding the given providers and
-        re-enters the hop engine there.  Returns True unless the packet had
-        to be dropped (no alternative provider or reroute budget exhausted).
+        re-enters the hop engine there.  Returns False when the packet was
+        dropped — no alternative provider, reroute budget exhausted, a
+        failed ``from_node`` or a drop at its first route step — and True
+        otherwise.
         """
         packet.status = PacketStatus.IN_FLIGHT
         packet.delivered_at = None
@@ -447,159 +462,152 @@ class Network:
             return False
         self.stats["reroutes"] += 1
         packet.dest_node = dest
-        self._arrive(packet, from_node)
-        return True
+        return self._walk(packet, from_node)
 
     # -- hop engine ---------------------------------------------------------------------
 
-    def _arrive(self, packet, node, defer=None):
-        """Packet is at ``node``'s router at the current simulation time.
+    def _walk(self, packet, node, in_port=None, defer=None):
+        """The hop engine: one router visit per loop iteration.
 
-        Injection entry point (send / multicast / redirect / requeue).  The
-        first hop is always scheduled as a real event: the caller's
-        enclosing callback may still have same-time work to do (a PE
-        completion emitting several packets, a task switch requeueing a
-        buffer), so the walk must not advance the clock from here.  With
-        ``defer`` set, the hop event is appended to the list as a
-        ``(time, callback)`` pair instead of scheduled — used by multicast
-        to bulk-insert sibling first hops.
-        """
-        if packet.status != PacketStatus.IN_FLIGHT:
-            return
-        if node in self.failed_nodes:
-            self._drop(packet, PacketStatus.DROPPED_FAULT)
-            return
-        step = self._route_step(packet, node)
-        if step is None:
-            return
-        neighbor, in_port, arrival_time = step
-        callback = partial(self._hop_walk, packet, neighbor, in_port)
-        if defer is None:
-            self.sim.post_at(arrival_time, callback)
-        else:
-            defer.append((arrival_time, callback))
-
-    def _hop_walk(self, packet, node, in_port):
-        """Hop-event callback: process this arrival, then walk while safe.
-
-        Each iteration is one router arrival: the same checks, counters and
-        routing decisions as the one-event-per-hop engine, at the same
-        simulated time.  Between hops the walker asks the kernel's
-        ``try_advance`` gate for the next arrival time; if anything else is
-        due first (including events just scheduled by an observer reacting
-        to *this* hop), the remainder of the flight is demoted to a real
-        event and dispatch order is preserved exactly.
+        ``in_port`` is the port the packet entered ``node`` through, or
+        ``None`` for an injection (send / multicast / redirect / requeue).
+        An injection's first hop is always posted as a real event —
+        appended to ``defer`` as a ``(time, callback)`` pair when given,
+        which multicast uses to bulk-insert sibling first hops; a hop
+        event walks on inline while ``try_advance`` grants the next
+        arrival time (see the module's hot-path notes).  Returns False
+        when the packet was dropped, True otherwise (it is still in the
+        network, or was delivered).
         """
         sim = self.sim
         fast_path = self.fast_path
         routers = self.routers
         failed = self.failed_nodes
+        direction_cache = self.policy.direction_cache
         in_flight = PacketStatus.IN_FLIGHT
         while True:
             if packet.status != in_flight:
-                return
+                return False
             if node in failed:
                 self._drop(packet, PacketStatus.DROPPED_FAULT)
-                return
-            # Inlined Router.record_port(in_port, incoming=True).
-            routers[node].ports[in_port].packets_in += 1
-            step = self._route_step(packet, node)
-            if step is None:
-                return
-            neighbor, in_port, arrival_time = step
-            if fast_path and sim.try_advance(arrival_time):
-                self.express_hops += 1
-                node = neighbor
-                continue
-            sim.post_at(
-                arrival_time,
-                partial(self._hop_walk, packet, neighbor, in_port),
-            )
-            return
-
-    def _route_step(self, packet, node):
-        """One router's worth of forwarding work at the current time.
-
-        Delivery checks, provider re-resolution, output-port choice,
-        deadlock bound, wormhole link claim and the router's counters and
-        observer notifications.  Returns ``None`` on a terminal outcome
-        (delivered or dropped), else ``(neighbor, entry port, arrival
-        time)`` for the next hop.
-        """
-        router = self.routers[node]
-        if node == packet.dest_node:
-            if self.directory.task_of(node) == packet.dest_task:
-                self._deliver(packet, node, router)
-                return None
-            # Destination changed task while the packet was in flight:
-            # re-resolve toward the task's new nearest provider.
-            if not self._reresolve(packet, node):
-                return None
-            if packet.dest_node == node:
-                self._deliver(packet, node, router)
-                return None
-        # The policy's direction cache answers almost every hop; only a
-        # miss pays the policy call and its fault handling.
-        policy = self.policy
-        direction = policy.direction_cache.get((node, packet.dest_node))
-        if direction is None:
-            try:
-                direction = policy.next_direction(node, packet.dest_node)
-            except UnroutableError:
-                if not self._reresolve(
-                    packet, node, exclude=(packet.dest_node,)
-                ):
-                    return None
+                return False
+            router = routers[node]
+            if in_port is not None:
+                # Inlined Router.record_port(in_port, incoming=True).
+                router.ports[in_port].packets_in += 1
+            if node == packet.dest_node:
+                if self.directory.task_of(node) == packet.dest_task:
+                    self._deliver(packet, node, router)
+                    return True
+                # Destination changed task while the packet was in flight:
+                # re-resolve toward the task's new nearest provider.
+                if not self._reresolve(packet, node):
+                    return False
                 if packet.dest_node == node:
                     self._deliver(packet, node, router)
-                    return None
-                try:
-                    direction = policy.next_direction(
-                        node, packet.dest_node
-                    )
-                except UnroutableError:
-                    self._drop(packet, PacketStatus.DROPPED_NO_PROVIDER,
-                               at_node=node)
-                    return None
-        if router.config.routing_mode == "adaptive":
-            direction = self._adaptive_port(router, node, packet, direction)
-        hop = self._hop_table[node].get(direction)
-        if hop is None:
+                    return True
+            # The policy's direction cache answers almost every hop; only a
+            # miss pays the policy call and its fault handling.
+            direction = direction_cache.get((node, packet.dest_node))
+            if direction is None:
+                direction = self._route_miss(packet, node, router)
+                if direction is None:
+                    return packet.status == PacketStatus.DELIVERED
+            config = router.config
+            if config.routing_mode == "adaptive":
+                direction = self._adaptive_port(
+                    router, node, packet, direction
+                )
+            hop = self._hop_table[node].get(direction)
+            if hop is None:
+                self._drop(packet, PacketStatus.DROPPED_NO_PROVIDER,
+                           at_node=node)
+                return False
+            neighbor, link, next_port = hop
+            if not link.enabled:
+                # The policy avoids failed links once its caches
+                # invalidate; this guards the same-instant race (link
+                # died between the direction choice and the claim).
+                self._drop(packet, PacketStatus.DROPPED_FAULT, at_node=node)
+                return False
+            now = sim.now
+            wait = link.busy_until - now
+            # Inlined DeadlockRecovery.should_drop(wait).  The pressure
+            # dict is empty on dynamics-free runs, so the short-circuit
+            # keeps this hot path on its historic branch; the
+            # ``.get(node, wait)`` default makes an un-pressured node's
+            # comparison trivially false.
+            deadlock = self.deadlock
+            wait_limit = deadlock.wait_limit
+            if (wait_limit is not None and wait > wait_limit) or (
+                self.deadlock_pressure
+                and wait > self.deadlock_pressure.get(node, wait)
+            ):
+                deadlock.record_drop(now)
+                self._drop(packet, PacketStatus.DROPPED_DEADLOCK,
+                           at_node=node)
+                return False
+            # Inlined Router.notify_routed(packet, to_internal=False).
+            if not router.failed:
+                task = packet.dest_task
+                counts = router.task_route_counts
+                counts[task] = counts.get(task, 0) + 1
+                router.packets_forwarded += 1
+                recent = router.recent_tasks
+                recent.append(task)
+                # Read on every call: an RCAP write may change the depth.
+                overflow = len(recent) - config.recent_queue_depth
+                if overflow > 0:
+                    del recent[:overflow]
+                for handler in router._routed_handlers:
+                    handler(router, packet, False)
+            # Inlined Router.record_port(direction, incoming=False).
+            router.ports[direction].packets_out += 1
+            arrival_time = link.transfer(
+                packet, now + config.router_latency
+            )
+            if link.corrupting:
+                packet.corrupted = True
+            packet.hops += 1
+            self.stats["hops"] += 1
+            if in_port is not None and fast_path and sim.try_advance(
+                arrival_time
+            ):
+                self.express_hops += 1
+                node = neighbor
+                in_port = next_port
+                continue
+            callback = partial(self._walk, packet, neighbor, next_port)
+            if defer is None:
+                sim.post_at(arrival_time, callback)
+            else:
+                defer.append((arrival_time, callback))
+            return True
+
+    def _route_miss(self, packet, node, router):
+        """Output direction on a direction-cache miss, or ``None``.
+
+        Asks the policy; when the destination has become unreachable the
+        packet is re-resolved toward another provider (and delivered here
+        if that is this node).  ``None`` means a terminal outcome —
+        delivered or dropped.
+        """
+        policy = self.policy
+        try:
+            return policy.next_direction(node, packet.dest_node)
+        except UnroutableError:
+            pass
+        if not self._reresolve(packet, node, exclude=(packet.dest_node,)):
+            return None
+        if packet.dest_node == node:
+            self._deliver(packet, node, router)
+            return None
+        try:
+            return policy.next_direction(node, packet.dest_node)
+        except UnroutableError:
             self._drop(packet, PacketStatus.DROPPED_NO_PROVIDER,
                        at_node=node)
             return None
-        neighbor, link, in_port = hop
-        if not link.enabled:
-            # The policy avoids failed links once its caches invalidate;
-            # this guards the same-instant race (link died between the
-            # direction choice and the claim).
-            self._drop(packet, PacketStatus.DROPPED_FAULT, at_node=node)
-            return None
-        now = self.sim.now
-        wait = link.busy_until - now
-        # Inlined DeadlockRecovery.should_drop(wait).  The pressure dict
-        # is empty on dynamics-free runs, so the short-circuit keeps this
-        # hot path on its historic branch; the ``.get(node, wait)``
-        # default makes an un-pressured node's comparison trivially false.
-        deadlock = self.deadlock
-        wait_limit = deadlock.wait_limit
-        if (wait_limit is not None and wait > wait_limit) or (
-            self.deadlock_pressure
-            and wait > self.deadlock_pressure.get(node, wait)
-        ):
-            deadlock.record_drop(now)
-            self._drop(packet, PacketStatus.DROPPED_DEADLOCK, at_node=node)
-            return None
-        router.notify_routed(packet, to_internal=False)
-        # Inlined Router.record_port(direction, incoming=False).
-        router.ports[direction].packets_out += 1
-        departure = now + router.config.router_latency
-        arrival_time = link.transfer(packet, departure)
-        if link.corrupting:
-            packet.corrupted = True
-        packet.hops += 1
-        self.stats["hops"] += 1
-        return neighbor, in_port, arrival_time
 
     def _adaptive_port(self, router, node, packet, policy_direction):
         """Congestion-aware minimal output-port choice (paper §V).
@@ -630,7 +638,15 @@ class Network:
     # -- terminal outcomes --------------------------------------------------------
 
     def _deliver(self, packet, node, router):
-        router.notify_routed(packet, to_internal=True)
+        # Inlined Router.notify_routed(packet, to_internal=True).
+        if not router.failed:
+            task = packet.dest_task
+            counts = router.task_route_counts
+            counts[task] = counts.get(task, 0) + 1
+            router.packets_sunk += 1
+            router.ports[INTERNAL].packets_out += 1
+            for handler in router._routed_handlers:
+                handler(router, packet, True)
         packet.status = PacketStatus.DELIVERED
         packet.delivered_at = self.sim.now
         self.stats["delivered"] += 1

@@ -149,7 +149,8 @@ class Router:
 
         ``to_internal`` is True when the packet was routed to the internal
         port (accepted by the local node) — the impulse that suppresses the
-        FFW task-switch timeout.
+        FFW task-switch timeout.  The hop engine inlines this bookkeeping
+        (``Network._walk`` and ``Network._deliver``); keep them in step.
         """
         if self.failed:
             return

@@ -44,16 +44,21 @@ class ProviderDirectory:
         self._providers = {}
         self._node_task = {}
         self._failed = set()
+        #: Bumped on every provider-set change.
         self.version = 0
-        # Distance ranking cache: provider lookup is the hottest query in
-        # the simulation, so coordinates are precomputed and sorted
-        # candidate lists are cached per (origin, task) until the directory
-        # changes (version bump).
+        # Provider lookup is the hottest query in the simulation, so
+        # answers are cached per task: ``_rank_cache[task][origin]`` holds
+        # the (distance, id)-sorted providers and ``_providers_cache[task]``
+        # the id-sorted ones.  A provider-set change drops only the
+        # entries of the tasks it touches (the old and the new task of a
+        # switch), so every other task's rankings survive it.  A ranking
+        # is rebuilt by filtering the origin's (distance, id) order of all
+        # nodes, which is built on the origin's first query so
+        # construction does not pay for origins nobody asks from.
         self._coords = [topology.coords(n) for n in topology.node_ids()]
+        self._order = {}
         self._rank_cache = {}
-        self._rank_cache_version = 0
         self._providers_cache = {}
-        self._providers_cache_version = 0
 
     # -- updates -------------------------------------------------------------
 
@@ -72,11 +77,14 @@ class ProviderDirectory:
         if task_id is not None:
             self._providers.setdefault(task_id, set()).add(node_id)
         self.version += 1
+        for task in (old, task_id):
+            self._rank_cache.pop(task, None)
+            self._providers_cache.pop(task, None)
 
     def mark_failed(self, node_id):
         """Remove a failed node from all provider sets.
 
-        The version bump rides on :meth:`set_task`: provider caches only
+        Cache invalidation rides on :meth:`set_task`: the caches only
         depend on the provider sets, and those change exactly when the
         node had a live task to clear.
         """
@@ -88,8 +96,8 @@ class ProviderDirectory:
     def mark_recovered(self, node_id):
         """Readmit a recovered node (it rejoins task-less).
 
-        No version bump is needed: the node held no task while failed,
-        so the provider sets — all the caches depend on — are unchanged
+        Nothing is invalidated: the node held no task while failed, so
+        the provider sets — all the caches depend on — are unchanged
         until something assigns it work again.
         """
         self._failed.discard(node_id)
@@ -103,12 +111,9 @@ class ProviderDirectory:
     def providers(self, task_id):
         """Sorted list of healthy nodes performing ``task_id``.
 
-        The sorted list is cached per task until the directory changes
-        (version bump); callers must treat it as read-only.
+        The sorted list is cached until the task's provider set changes;
+        callers must treat it as read-only.
         """
-        if self._providers_cache_version != self.version:
-            self._providers_cache.clear()
-            self._providers_cache_version = self.version
         cached = self._providers_cache.get(task_id)
         if cached is None:
             cached = sorted(self._providers.get(task_id, ()))
@@ -137,7 +142,11 @@ class ProviderDirectory:
         Returns ``None`` when no provider exists — the caller decides
         whether to drop or hold the packet.
         """
-        ranked = self.ranked_providers(from_node, task_id)
+        # Cache hits are answered here, without a ranked_providers frame.
+        by_origin = self._rank_cache.get(task_id)
+        ranked = None if by_origin is None else by_origin.get(from_node)
+        if ranked is None:
+            ranked = self.ranked_providers(from_node, task_id)
         if not exclude:
             return ranked[0] if ranked else None
         excluded = (
@@ -149,24 +158,29 @@ class ProviderDirectory:
         return None
 
     def ranked_providers(self, from_node, task_id):
-        """Healthy providers of ``task_id`` sorted by (distance, id)."""
-        if self._rank_cache_version != self.version:
-            self._rank_cache.clear()
-            self._rank_cache_version = self.version
-        key = (from_node, task_id)
-        ranked = self._rank_cache.get(key)
+        """Healthy providers of ``task_id`` sorted by (distance, id).
+
+        The list is cached until the task's provider set changes; callers
+        must treat it as read-only.
+        """
+        by_origin = self._rank_cache.setdefault(task_id, {})
+        ranked = by_origin.get(from_node)
         if ranked is None:
-            fx, fy = self._coords[from_node]
-            coords = self._coords
-            ranked = sorted(
-                self._providers.get(task_id, ()),
-                key=lambda n: (
-                    abs(coords[n][0] - fx) + abs(coords[n][1] - fy),
-                    n,
-                ),
-            )
-            self._rank_cache[key] = ranked
+            order = self._order.get(from_node)
+            if order is None:
+                order = self._order[from_node] = self._distance_order(from_node)
+            providers = self._providers.get(task_id, ())
+            ranked = by_origin[from_node] = [n for n in order if n in providers]
         return ranked
+
+    def _distance_order(self, from_node):
+        """Every node id sorted by (distance from ``from_node``, id)."""
+        coords = self._coords
+        fx, fy = coords[from_node]
+        return sorted(
+            range(len(coords)),
+            key=lambda n: (abs(coords[n][0] - fx) + abs(coords[n][1] - fy), n),
+        )
 
 
 class XYRouting:

@@ -15,6 +15,7 @@ methods the AIM calls.
 """
 
 from collections import deque
+from functools import partial
 
 from repro.node.dvfs import FrequencyScaler
 from repro.node.thermal import ThermalModel
@@ -268,15 +269,24 @@ class ProcessingElement:
         provider cannot create a delivery loop.  The hold also makes
         starved-task packets grow visibly old, which is the lateness signal
         the Foraging-for-Work model keys on.
+
+        This is the bounce loop of an overloaded task, so it stays
+        allocation-light: the node joins the packet's tried set inline
+        (as :meth:`~repro.noc.packet.Packet.mark_tried` would) and the hold
+        event is a ``partial`` of :meth:`~repro.noc.network.Network.redirect`
+        bound to that set.  Nothing mutates the set during the hold, so
+        binding it now excludes exactly what reading it at redirect time
+        would.
         """
-        packet.reroutes += 1
-        packet.mark_tried(self.node_id)
         node = self.node_id
+        packet.reroutes += 1
+        tried = packet.tried
+        if tried is None:
+            tried = packet.tried = set()
+        tried.add(node)
         self.sim.post(
             self.overflow_hold_us,
-            lambda p=packet, n=node: self.network.redirect(
-                p, n, exclude=p.tried_providers()
-            ),
+            partial(self.network.redirect, packet, node, tried),
         )
 
     # -- execution engine ---------------------------------------------------------------

@@ -177,6 +177,35 @@ def test_redirect_exhaustion_drops(net):
     assert packet.status == PacketStatus.DROPPED_NO_PROVIDER
 
 
+def test_redirect_from_failed_node_reports_the_drop(net):
+    net.directory.set_task(5, 2)
+    net.fail_node(3)
+    packet = Packet(src_node=0, dest_task=2)
+    assert net.redirect(packet, 3) is False
+    assert packet.status == PacketStatus.DROPPED_FAULT
+    # The re-resolution itself succeeded, so it still counts as a reroute.
+    assert net.stats["reroutes"] == 1
+    assert net.stats["dropped_fault"] == 1
+
+
+def test_redirect_dropped_at_first_route_step_reports_the_drop(net, sim):
+    net.directory.set_task(3, 2)
+    net.links[(0, 1)].busy_until = sim.now + 10 * net.deadlock.wait_limit
+    packet = Packet(src_node=0, dest_task=2)
+    assert net.redirect(packet, 0) is False
+    assert packet.status == PacketStatus.DROPPED_DEADLOCK
+    assert net.stats["reroutes"] == 1
+
+
+def test_redirect_in_flight_returns_true(net, sim):
+    net.directory.set_task(3, 2)
+    packet = Packet(src_node=0, dest_task=2)
+    assert net.redirect(packet, 0) is True
+    assert packet.status == PacketStatus.IN_FLIGHT
+    sim.run_until(10_000)
+    assert packet.status == PacketStatus.DELIVERED
+
+
 def test_fail_node_updates_directory_and_policy(net):
     net.directory.set_task(5, 2)
     net.fail_node(5)

@@ -236,7 +236,8 @@ def test_pressure_drops_waiting_packets():
     packet = Packet(src_node=0, dest_task=None, created_at=0)
     packet.dest_node = 1
     before = network.stats["dropped_deadlock"]
-    assert network._route_step(packet, 0) is None
+    # Inject at router 0: the walker's first route step meets the wait.
+    assert network._walk(packet, 0) is False
     assert network.stats["dropped_deadlock"] == before + 1
     assert packet.status == PacketStatus.DROPPED_DEADLOCK
 
@@ -253,7 +254,7 @@ def test_unpressured_wait_still_tolerated():
 
     packet = Packet(src_node=0, dest_task=None, created_at=0)
     packet.dest_node = 1
-    assert network._route_step(packet, 0) is not None
+    assert network._walk(packet, 0) is True
     assert network.stats["dropped_deadlock"] == 0
 
 
